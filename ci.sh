@@ -77,15 +77,14 @@ target/release/experiments validate "$LOCKS_DIR/BENCH_locks.json" \
 rm -rf "$LOCKS_DIR"
 
 echo "== sanitizer smoke: cross-check oracle over the experiment programs"
-cargo test -q -p curare-check --features sanitize
-cargo build --release -p curare-bench --features sanitize
+# The sanitizer's tests ran with the workspace tests above.
 target/release/experiments sanitize > /dev/null
 
 echo "== chaos harness: lints, tests, differential smoke, sanitize cross-check"
 cargo clippy -p curare-runtime --features chaos --all-targets -- -D warnings
 cargo clippy -p curare-bench --features chaos --all-targets -- -D warnings
 cargo test -q -p curare-runtime --features chaos
-cargo build --release -p curare-bench --features "chaos sanitize"
+cargo build --release -p curare-bench --features chaos
 CHAOS_DIR="$(mktemp -d)"
 (cd "$CHAOS_DIR" && "$REPO_DIR/target/release/experiments" chaos --seeds 4 --json > /dev/null)
 target/release/experiments validate "$CHAOS_DIR/BENCH_chaos.json" \
@@ -117,6 +116,17 @@ target/release/experiments validate "$SPEC_DIR/BENCH_sanitize.json" \
 target/release/experiments validate "$SPEC_DIR/BENCH_spec.json" \
   schema bench host_threads programs timing chaos sanitizer
 rm -rf "$SPEC_DIR"
+
+echo "== speculation correctness: perfbench speculate answers every job right"
+# perfbench exits 0 on wrong answers, so read the result line (the last
+# line of standard output) and require \"failed\": 0.
+SPEC_RESULT="$(python3 perfbench/run.py --workload speculate --seed 1 --seconds 10 \
+  --trace 0 | tail -n 1)"
+SPEC_FAILED="$(printf '%s' "$SPEC_RESULT" | python3 -c \
+  'import json, sys; print(json.load(sys.stdin)["failed"])')"
+if [ "$SPEC_FAILED" != "0" ]; then
+  echo "perfbench speculate: $SPEC_FAILED failed job(s)" >&2; exit 1
+fi
 
 echo "== causal profiler: lints, per-opcode tests, work/span smoke gate"
 cargo clippy -p curare-lisp --features profile-ops --all-targets -- -D warnings

@@ -69,34 +69,30 @@ fn trace_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// The cost of the heap-access sanitizer: the same tiny-grain pool
-/// run with no access log installed (the shipping default) vs one
-/// recording every car/cdr read and write. Build with
-/// `--features bench-ext,sanitize` to measure real recording — with
-/// `bench-ext` alone the recording path is compiled out and both
-/// columns measure the empty inline stubs (a useful zero baseline).
+/// The cost of the heap-access log: the same tiny-grain pool run with
+/// the log disarmed (the shipping default: one relaxed load per heap
+/// access) vs armed, recording every car/cdr read and write as a
+/// sanitized run does.
 fn sanitizer_overhead(c: &mut Criterion) {
+    use curare::lisp::accesslog;
+
     let mut g = c.benchmark_group("sanitizer_overhead");
     g.sample_size(10);
     let n = 5_000i64;
 
     for (label, sanitized) in [("disabled", false), ("enabled", true)] {
         g.bench_function(label, |b| {
-            let log = sanitized.then(|| {
-                let log = curare::obs::AccessLog::new(4);
-                curare::obs::install_sanitizer(Some(Arc::clone(&log)));
-                log
-            });
             let (interp, _) = transformed_interp(&padded_walker(0));
             let rt = CriRuntime::new(Arc::clone(&interp), 4);
             b.iter(|| {
                 let l = int_list(&interp, n);
+                if sanitized {
+                    accesslog::arm(false);
+                }
                 rt.run("padded", &[l]).expect("run");
+                accesslog::take()
             });
             drop(rt);
-            if log.is_some() {
-                curare::obs::install_sanitizer(None);
-            }
         });
     }
     g.finish();

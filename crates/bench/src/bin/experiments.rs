@@ -7,7 +7,7 @@
 //! cargo run --release -p curare-bench --bin experiments e4 e7    # some
 //! cargo run ... experiments e8 --trace t.json --metrics m.json   # traced
 //! cargo run ... experiments validate FILE KEY...                 # CI gate
-//! cargo run ... --features sanitize ... experiments sanitize     # oracle
+//! cargo run ... experiments sanitize [--json]   # soundness oracle
 //! cargo run ... experiments interp [--json] [--min-speedup X]
 //!                                  # tree vs VM sweep (+ CI gate)
 //! cargo run ... experiments hir [--json]  # typed-HIR/fusion ablation
@@ -539,7 +539,6 @@ fn differential_cmd(args: &[String]) -> ExitCode {
 /// over the experiment programs under both schedulers and cross-check
 /// every observed conflicting pair against the static prediction (the
 /// soundness oracle; see DESIGN.md). Exits 0 iff every run is sound.
-#[cfg(feature = "sanitize")]
 fn sanitize_cmd(args: &[String]) -> ExitCode {
     use curare::check::sanitized_run;
     use curare::runtime::SchedMode;
@@ -564,7 +563,7 @@ fn sanitize_cmd(args: &[String]) -> ExitCode {
     if chaos_seed.is_some() {
         eprintln!(
             "experiments: --chaos-seed needs the chaos harness; rebuild with\n  \
-             cargo run --release -p curare-bench --features \"sanitize chaos\" \
+             cargo run --release -p curare-bench --features chaos \
              --bin experiments -- sanitize --chaos-seed N"
         );
         return ExitCode::FAILURE;
@@ -690,18 +689,6 @@ fn sanitize_cmd(args: &[String]) -> ExitCode {
     } else {
         ExitCode::FAILURE
     }
-}
-
-/// Without the `sanitize` feature the interpreter records nothing, so
-/// the cross-check would be vacuously "sound"; refuse instead of
-/// pretending.
-#[cfg(not(feature = "sanitize"))]
-fn sanitize_cmd(_args: &[String]) -> ExitCode {
-    eprintln!(
-        "experiments: the heap-access sanitizer is compiled out; rebuild with\n  \
-         cargo run --release -p curare-bench --features sanitize --bin experiments -- sanitize"
-    );
-    ExitCode::FAILURE
 }
 
 /// `experiments speculate [--json] [--seeds N]` — the SpecMode

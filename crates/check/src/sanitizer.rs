@@ -1,7 +1,7 @@
-//! The heap-access sanitizer's checking side: reconstruct the
-//! happens-before order of a recorded run, enumerate cross-invocation
-//! conflicting access pairs, and diff them against the §2 static
-//! conflict predictions.
+//! The heap-access sanitizer: the offline consumer of
+//! `curare_lisp::accesslog`. It orders a recorded run's conflicting
+//! cross-invocation pairs by happens-before and diffs them against the
+//! §2 static conflict predictions.
 //!
 //! **The oracle.** The static analysis claims: every pair of heap
 //! accesses from *different* CRI invocations that can race (same
@@ -14,28 +14,31 @@
 //! - **predicted but never observed** — a precision loss only; the
 //!   ratio of manifested predictions is reported.
 //!
-//! **Happens-before.** Each invocation's records (confined to the one
-//! server thread that executed it) are split into *segments* at every
-//! spawn and touch. Edges: program order within an invocation, spawn
-//! (everything before the spawn precedes the child), and touch (the
-//! touched future's whole invocation precedes everything after the
-//! touch). Lock-based ordering is deliberately *not* modeled: a
-//! lock-guarded pair is unordered here but predicted statically, so it
-//! never reports as a failure — only *unpredicted* pairs need an
-//! order.
+//! **Happens-before.** Each invocation's accesses (confined to the one
+//! server thread that executed it, so epoch order is program order)
+//! are split into *segments* at every spawn and touch. Edges: program
+//! order within an invocation, spawn (everything before the spawn
+//! precedes the child), and touch (the touched future's whole
+//! invocation precedes everything after the touch). Lock-based
+//! ordering is deliberately *not* modeled: a lock-guarded pair is
+//! unordered here but predicted statically, so it never reports as a
+//! failure — only *unpredicted* pairs need an order.
 //!
 //! **Matching.** Observed pairs are keyed by their two final accessor
 //! codes (0 = car, 1 = cdr, 2+k = struct field k), unordered;
 //! predicted pairs take the same key from the conflict's write/other
 //! path tails. A function with unanalyzable writes predicts ⊤ — every
-//! pair — matching its conservative treatment by the pipeline.
+//! pair — matching its conservative treatment by the pipeline. Global
+//! variables have no accessor path, so their accesses are not matched.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap, HashSet};
+use std::ops::ControlFlow;
 
 use curare_analysis::analyze::analyze_function_with_canon;
-use curare_analysis::{Canonicalizer, DeclDb};
+use curare_analysis::{Canonicalizer, DeclDb, FunctionAnalysis};
+use curare_lisp::accesslog::{self, Access, Log, GLOBAL_LOC_BIT};
 use curare_lisp::{Heap, Lowerer};
-use curare_obs::{Json, SanEvent, SanRecord};
+use curare_obs::Json;
 use curare_sexpr::parse_all;
 
 /// Unordered pair of final accessor codes.
@@ -57,26 +60,30 @@ pub struct PredictedPairs {
     pub top: bool,
 }
 
-/// Collect the predicted conflict set of a source program (with
+/// Parse, lower and analyze every function of `src` (with
 /// canonicalization when inverse accessors are declared, mirroring the
-/// pipeline).
-pub fn predicted_pairs(src: &str) -> Result<PredictedPairs, String> {
+/// pipeline), visiting each with the declarations and its parameters.
+fn analyze_each(
+    src: &str,
+    mut visit: impl FnMut(&DeclDb, &[String], &FunctionAnalysis),
+) -> Result<(), String> {
     let forms = parse_all(src).map_err(|e| e.to_string())?;
     let heap = Heap::new();
-    let prog = {
-        let mut lw = Lowerer::new(&heap);
-        lw.lower_program(&forms).map_err(|e| e.to_string())?
-    };
+    let prog = Lowerer::new(&heap).lower_program(&forms).map_err(|e| e.to_string())?;
     let decls = DeclDb::from_program(&prog).map_err(|e| e.to_string())?;
     let canon =
         (!decls.inverse_pairs().is_empty()).then(|| Canonicalizer::from_decls(&decls, &heap));
+    for f in &prog.funcs {
+        visit(&decls, &f.params, &analyze_function_with_canon(f, &decls, canon.as_ref()));
+    }
+    Ok(())
+}
 
+/// Collect the predicted conflict set of a source program.
+pub fn predicted_pairs(src: &str) -> Result<PredictedPairs, String> {
     let mut out = PredictedPairs::default();
-    for func in &prog.funcs {
-        let analysis = analyze_function_with_canon(func, &decls, canon.as_ref());
-        if analysis.conflicts.unknown_writes > 0 {
-            out.top = true;
-        }
+    analyze_each(src, |_, _, analysis| {
+        out.top |= analysis.conflicts.unknown_writes > 0;
         for c in &analysis.conflicts.conflicts {
             match (c.write_path.last(), c.other_path.last()) {
                 (Some(w), Some(o)) => {
@@ -87,14 +94,14 @@ pub fn predicted_pairs(src: &str) -> Result<PredictedPairs, String> {
                 _ => out.top = true,
             }
         }
-    }
+    })?;
     // Destination-passing style introduces writes the source never
     // had: every invocation links its freshly consed cell into the
     // caller's destination cdr, and the wrapper reads the result head
     // back out of its own destination. The transform synchronizes
     // those (links happen in queue order, the result read after pool
     // quiescence), so they are predicted conflicts, not surprises.
-    if let Ok(out2) = curare_transform::Curare::new().transform_forms(&forms) {
+    if let Ok(out2) = curare_transform::Curare::new().transform_source(src) {
         if out2.reports.iter().any(|r| r.devices.contains(&curare_transform::Device::Dps)) {
             out.keys.insert(pair_key(1, 1)); // dest cdr link vs cdr link/read
         }
@@ -135,7 +142,7 @@ pub struct CrossCheck {
     pub pairs_checked: usize,
     /// True when the pair scan hit its cap; coverage was partial.
     pub capped: bool,
-    /// Total records in the snapshot.
+    /// Total records (spawns, touches, accesses) in the log.
     pub events: usize,
 }
 
@@ -203,110 +210,67 @@ impl CrossCheck {
     }
 }
 
-/// One deduplicated access instance at a location.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct AccessAt {
-    inv: u64,
-    seg: usize,
-    write: bool,
-    atomic: bool,
-    tag: u64,
-}
-
-/// Diff a recorded snapshot against the predicted conflict set.
-pub fn cross_check(lanes: &[Vec<SanRecord>], predicted: &PredictedPairs) -> CrossCheck {
-    // 1. Per-invocation event sequences. An invocation executes on
-    // exactly one thread (helping saves/restores the binding), so its
-    // records live in one lane in program order; concatenating lanes
-    // in index order cannot interleave one invocation's records.
-    let mut seqs: BTreeMap<u64, Vec<SanEvent>> = BTreeMap::new();
-    let mut events = 0usize;
-    for lane in lanes {
-        for rec in lane {
-            events += 1;
-            seqs.entry(rec.inv).or_default().push(rec.ev);
-        }
-    }
-
-    // 2. Segmentation: split each invocation at spawns and touches.
-    // seg_count[inv] = number of segments; accesses collected per
-    // (inv, local segment index).
-    let mut seg_count: BTreeMap<u64, usize> = BTreeMap::new();
-    let mut accesses: Vec<(u64, usize, SanEvent)> = Vec::new();
-    let mut spawn_edges: Vec<(u64, usize, u64)> = Vec::new(); // (inv, seg, child)
-    let mut touch_edges: Vec<(u64, usize, u64)> = Vec::new(); // (inv, post-seg, future)
+/// Diff a recorded log against the predicted conflict set.
+pub fn cross_check(log: &Log, predicted: &PredictedPairs) -> CrossCheck {
+    // 1. Segmentation: every invocation splits at its spawns and
+    // touches; `first[inv]` is its first happens-before node and
+    // `bounds[inv]` its sorted boundary epochs.
+    let mut first: HashMap<u64, usize> = HashMap::new();
+    let mut bounds: HashMap<u64, Vec<u64>> = HashMap::new();
     let mut future_owner: HashMap<u64, u64> = HashMap::new();
-    for (&inv, evs) in &seqs {
-        let mut seg = 0usize;
-        for &ev in evs {
-            match ev {
-                SanEvent::Access { .. } => accesses.push((inv, seg, ev)),
-                SanEvent::Spawn { child, future } => {
-                    if let Some(f) = future {
-                        future_owner.insert(f, child);
-                    }
-                    spawn_edges.push((inv, seg, child));
-                    seg += 1;
-                }
-                SanEvent::Touch { future } => {
-                    seg += 1;
-                    touch_edges.push((inv, seg, future));
-                }
-            }
-        }
-        seg_count.insert(inv, seg + 1);
-    }
-
-    // 3. Global node ids and the happens-before DAG.
-    let mut base: BTreeMap<u64, usize> = BTreeMap::new();
     let mut nodes = 0usize;
-    for (&inv, &n) in &seg_count {
-        base.insert(inv, nodes);
-        nodes += n;
+    for (&inv, e) in &log.invs {
+        let mut b: Vec<u64> = e.spawns.iter().map(|s| s.epoch).collect();
+        b.extend(e.touches.iter().map(|&(epoch, _)| epoch));
+        b.sort_unstable();
+        first.insert(inv, nodes);
+        nodes += b.len() + 1;
+        bounds.insert(inv, b);
+        for s in &e.spawns {
+            if let Some(f) = s.future {
+                future_owner.insert(f, s.child);
+            }
+        }
     }
-    let node = |inv: u64, seg: usize| base[&inv] + seg;
+    let node = |inv: u64, epoch: u64| -> Option<usize> {
+        Some(first.get(&inv)? + bounds[&inv].partition_point(|&b| b < epoch))
+    };
+
+    // 2. The happens-before DAG: program order, spawn edges, and
+    // touch edges from the future owner's last segment.
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); nodes];
-    for (&inv, &n) in &seg_count {
-        for s in 0..n.saturating_sub(1) {
-            succs[node(inv, s)].push(node(inv, s + 1));
+    for (&inv, e) in &log.invs {
+        let (base, n) = (first[&inv], bounds[&inv].len());
+        for (s, next) in succs[base..base + n].iter_mut().zip(base + 1..) {
+            s.push(next);
         }
-    }
-    for &(inv, seg, child) in &spawn_edges {
-        // A child that recorded nothing has no node — and no accesses
-        // to order.
-        if seg_count.contains_key(&child) {
-            succs[node(inv, seg)].push(node(child, 0));
+        for s in &e.spawns {
+            succs[base + bounds[&inv].partition_point(|&b| b < s.epoch)].push(first[&s.child]);
         }
-    }
-    for &(inv, post_seg, future) in &touch_edges {
-        if let Some(&owner) = future_owner.get(&future) {
-            if let Some(&n) = seg_count.get(&owner) {
-                succs[node(owner, n - 1)].push(node(inv, post_seg));
+        for &(epoch, future) in &e.touches {
+            if let Some(owner) = future_owner.get(&future) {
+                // The touch ends a segment; the next one starts after it.
+                let after = base + bounds[&inv].partition_point(|&b| b <= epoch);
+                succs[first[owner] + bounds[owner].len()].push(after);
             }
         }
     }
 
-    // 4. Location index, deduplicated: repeated identical accesses in
-    // one segment add nothing to the pair scan.
-    let mut index: BTreeMap<u64, BTreeSet<AccessAt>> = BTreeMap::new();
-    for &(inv, seg, ev) in &accesses {
-        if inv == 0 {
-            continue; // outside any CRI invocation: driver-side work
-        }
-        if let SanEvent::Access { loc, write, atomic, tag } = ev {
-            index.entry(loc).or_default().insert(AccessAt {
-                inv,
-                seg: node(inv, seg),
-                write,
-                atomic,
-                tag,
-            });
-        }
-    }
+    // 3. Heap accesses inside invocations, deduplicated: repeated
+    // identical accesses in one segment add nothing to the pair scan.
+    let mut seen = HashSet::new();
+    let accesses: Vec<&Access> = log
+        .accesses
+        .iter()
+        .filter(|a| a.loc & GLOBAL_LOC_BIT == 0)
+        .filter(|a| {
+            node(a.inv, a.lo).is_some_and(|n| seen.insert((a.loc, n, a.write(), a.atomic(), a.tag)))
+        })
+        .collect();
 
-    // 5. Pair scan. Reachability is answered by DFS over the DAG with
-    // a memo; unpredicted keys are rare (none, in a sound run), so the
-    // DFS almost never runs.
+    // 4. Pair scan over the conflict finder. Reachability is answered
+    // by DFS over the DAG with a memo; unpredicted keys are rare (none,
+    // in a sound run), so the DFS almost never runs.
     let mut reach_memo: HashMap<(usize, usize), bool> = HashMap::new();
     let mut check = CrossCheck {
         predicted: predicted.clone(),
@@ -316,46 +280,35 @@ pub fn cross_check(lanes: &[Vec<SanRecord>], predicted: &PredictedPairs) -> Cros
         unpredicted_total: 0,
         pairs_checked: 0,
         capped: false,
-        events,
+        events: log.records(),
     };
-    'locs: for (&loc, accs) in &index {
-        if !accs.iter().any(|a| a.write) {
-            continue;
+    accesslog::for_each_conflict(accesses, |a, b| {
+        if check.pairs_checked >= MAX_PAIRS {
+            check.capped = true;
+            return ControlFlow::Break(());
         }
-        let accs: Vec<&AccessAt> = accs.iter().collect();
-        for i in 0..accs.len() {
-            for j in i + 1..accs.len() {
-                let (a, b) = (accs[i], accs[j]);
-                if a.inv == b.inv || !(a.write || b.write) || (a.atomic && b.atomic) {
-                    continue;
-                }
-                if check.pairs_checked >= MAX_PAIRS {
-                    check.capped = true;
-                    break 'locs;
-                }
-                check.pairs_checked += 1;
-                let key = pair_key(a.tag, b.tag);
-                check.observed.insert(key);
-                let ordered = reaches(&succs, &mut reach_memo, a.seg, b.seg)
-                    || reaches(&succs, &mut reach_memo, b.seg, a.seg);
-                if !ordered {
-                    check.unordered_observed.insert(key);
-                }
-                if predicted.top || predicted.keys.contains(&key) || ordered {
-                    continue;
-                }
-                check.unpredicted_total += 1;
-                if check.unpredicted.len() < MAX_EXAMPLES {
-                    check.unpredicted.push(UnpredictedPair {
-                        loc,
-                        key,
-                        invs: (a.inv, b.inv),
-                        writes: (a.write, b.write),
-                    });
-                }
+        check.pairs_checked += 1;
+        let key = pair_key(a.tag, b.tag);
+        check.observed.insert(key);
+        let (na, nb) = (node(a.inv, a.lo).expect("kept"), node(b.inv, b.lo).expect("kept"));
+        let ordered =
+            reaches(&succs, &mut reach_memo, na, nb) || reaches(&succs, &mut reach_memo, nb, na);
+        if !ordered {
+            check.unordered_observed.insert(key);
+        }
+        if !(predicted.top || predicted.keys.contains(&key) || ordered) {
+            check.unpredicted_total += 1;
+            if check.unpredicted.len() < MAX_EXAMPLES {
+                check.unpredicted.push(UnpredictedPair {
+                    loc: a.loc,
+                    key,
+                    invs: (a.inv, b.inv),
+                    writes: (a.write(), b.write()),
+                });
             }
         }
-    }
+        ControlFlow::Continue(())
+    });
     check
 }
 
@@ -402,25 +355,15 @@ fn reaches(
 pub fn covered_keys(src: &str) -> Result<BTreeSet<PairKey>, String> {
     use curare_analysis::locksynth::{declared_placement, synthesize, OrderingContext};
 
-    let forms = parse_all(src).map_err(|e| e.to_string())?;
-    let heap = Heap::new();
-    let prog = {
-        let mut lw = Lowerer::new(&heap);
-        lw.lower_program(&forms).map_err(|e| e.to_string())?
-    };
-    let decls = DeclDb::from_program(&prog).map_err(|e| e.to_string())?;
-    let canon =
-        (!decls.inverse_pairs().is_empty()).then(|| Canonicalizer::from_decls(&decls, &heap));
     let mut out = BTreeSet::new();
-    for func in &prog.funcs {
-        let analysis = analyze_function_with_canon(func, &decls, canon.as_ref());
+    analyze_each(src, |decls, params, analysis| {
         if analysis.conflicts.conflicts.is_empty() {
-            continue;
+            return;
         }
-        let params: Vec<&str> = func.params.iter().map(String::as_str).collect();
+        let params: Vec<&str> = params.iter().map(String::as_str).collect();
         let placement = match decls.lock_placement(&analysis.name) {
-            Some(d) => declared_placement(&analysis, &params, d, OrderingContext::cri()),
-            None => synthesize(&analysis, &params, OrderingContext::cri()),
+            Some(d) => declared_placement(analysis, &params, d, OrderingContext::cri()),
+            None => synthesize(analysis, &params, OrderingContext::cri()),
         };
         for pair in placement.pairs.iter().filter(|p| p.covered) {
             if let (Some(w), Some(o)) =
@@ -429,7 +372,7 @@ pub fn covered_keys(src: &str) -> Result<BTreeSet<PairKey>, String> {
                 out.insert(pair_key(w.field_code() as u64, o.field_code() as u64));
             }
         }
-    }
+    })?;
     Ok(out)
 }
 
@@ -491,10 +434,9 @@ pub fn lock_coverage(src: &str, check: CrossCheck) -> Result<LockCheck, String> 
 }
 
 /// Replay a program under its transformed form (locks and all) with
-/// the sanitizer installed, and fail the coverage check if any
-/// observed happens-before-unordered conflict escapes the synthesized
-/// or declared lock placement. Serialize calls like [`sanitized_run`].
-#[cfg(feature = "sanitize")]
+/// the access log armed, and fail the coverage check if any observed
+/// happens-before-unordered conflict escapes the synthesized or
+/// declared lock placement. Serialize calls like [`sanitized_run`].
 pub fn sanitized_lock_check(
     src: &str,
     entry: &str,
@@ -506,15 +448,13 @@ pub fn sanitized_lock_check(
     lock_coverage(src, check)
 }
 
-/// Run a program's transformed form on a CRI pool with the sanitizer
-/// installed and cross-check the recording. `args_for` builds the
-/// entry function's arguments on the loaded interpreter's heap
-/// (before recording starts, so setup accesses are not logged).
+/// Run a program's transformed form on a CRI pool with the access log
+/// armed and cross-check the recording. `args_for` builds the entry
+/// function's arguments on the loaded interpreter's heap (before
+/// recording starts, so setup accesses are not logged).
 ///
-/// Installs the process-global sanitizer for the run's duration:
-/// callers (tests, the experiments driver) must serialize sanitized
-/// runs.
-#[cfg(feature = "sanitize")]
+/// Arms the process-global access log for the run's duration: callers
+/// (tests, the experiments driver) must serialize sanitized runs.
 pub fn sanitized_run(
     src: &str,
     entry: &str,
@@ -530,19 +470,19 @@ pub fn sanitized_run(
     interp.load_str(&out.source()).map_err(|e| e.to_string())?;
     let args = args_for(&interp);
 
-    let log = curare_obs::AccessLog::new(servers);
-    curare_obs::install_sanitizer(Some(Arc::clone(&log)));
+    accesslog::arm(false);
     let rt = curare_runtime::CriRuntime::with_mode(Arc::clone(&interp), servers, mode);
     let run_result = rt.run(entry, &args);
     drop(rt);
-    curare_obs::install_sanitizer(None);
+    let log = accesslog::take().unwrap_or_default();
     run_result.map_err(|e| e.to_string())?;
-    Ok(cross_check(&log.snapshot(), &predicted))
+    Ok(cross_check(&log, &predicted))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use curare_lisp::accesslog::Op;
 
     #[test]
     fn dps_introduced_links_are_predicted() {
@@ -558,16 +498,46 @@ mod tests {
         assert!(!p.top);
     }
 
-    fn acc(inv: u64, loc: u64, write: bool, tag: u64) -> SanRecord {
-        SanRecord { inv, ev: SanEvent::Access { loc, write, atomic: false, tag } }
+    #[derive(Clone, Copy)]
+    enum Rec {
+        Acc { inv: u64, loc: u64, op: Op, tag: u64 },
+        Spawn { inv: u64, child: u64, future: Option<u64> },
+        Touch { inv: u64, future: u64 },
     }
 
-    fn spawn(inv: u64, child: u64, future: Option<u64>) -> SanRecord {
-        SanRecord { inv, ev: SanEvent::Spawn { child, future } }
+    fn acc(inv: u64, loc: u64, write: bool, tag: u64) -> Rec {
+        let op = if write { Op::Store { old: 0, new: 0 } } else { Op::Read };
+        Rec::Acc { inv, loc, op, tag }
     }
 
-    fn touch(inv: u64, future: u64) -> SanRecord {
-        SanRecord { inv, ev: SanEvent::Touch { future } }
+    fn spawn(inv: u64, child: u64, future: Option<u64>) -> Rec {
+        Rec::Spawn { inv, child, future }
+    }
+
+    fn touch(inv: u64, future: u64) -> Rec {
+        Rec::Touch { inv, future }
+    }
+
+    /// The log of `recs` executed in this order: epochs ascend, and an
+    /// invocation first seen outside a spawn is a root.
+    fn log_of(recs: &[Rec]) -> Log {
+        let mut log = Log::default();
+        for (epoch, &r) in (1u64..).zip(recs) {
+            let (Rec::Acc { inv, .. } | Rec::Spawn { inv, .. } | Rec::Touch { inv, .. }) = r;
+            if inv != 0 && !log.invs.contains_key(&inv) {
+                log.push_spawn(0, inv, 0, &[], None, epoch);
+            }
+            match r {
+                Rec::Acc { inv, loc, op, tag } => {
+                    log.accesses.push(Access { inv, loc, tag, op, lo: epoch, hi: epoch })
+                }
+                Rec::Spawn { inv, child, future } => {
+                    log.push_spawn(inv, child, 0, &[], future, epoch)
+                }
+                Rec::Touch { inv, future } => log.push_touch(inv, future, epoch),
+            }
+        }
+        log
     }
 
     #[test]
@@ -575,8 +545,8 @@ mod tests {
         // inv 1 writes loc 8, then spawns inv 2, which reads loc 8:
         // ordered by the spawn edge, so unpredicted stays empty even
         // with an empty prediction set.
-        let lanes = vec![vec![acc(1, 8, true, 0), spawn(1, 2, None)], vec![acc(2, 8, false, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let log = log_of(&[acc(1, 8, true, 0), spawn(1, 2, None), acc(2, 8, false, 0)]);
+        let check = cross_check(&log, &PredictedPairs::default());
         assert!(check.sound(), "{:?}", check.unpredicted);
         assert_eq!(check.pairs_checked, 1);
         assert_eq!(check.observed.len(), 1);
@@ -586,8 +556,8 @@ mod tests {
     fn post_spawn_read_against_child_write_is_a_failure() {
         // inv 1 spawns inv 2 and *then* reads loc 8, which inv 2
         // writes: no order between them, nothing predicted → unsound.
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 0)], vec![acc(2, 8, true, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let log = log_of(&[spawn(1, 2, None), acc(1, 8, false, 0), acc(2, 8, true, 0)]);
+        let check = cross_check(&log, &PredictedPairs::default());
         assert!(!check.sound());
         assert_eq!(check.unpredicted_total, 1);
         assert_eq!(check.unpredicted[0].loc, 8);
@@ -596,10 +566,10 @@ mod tests {
 
     #[test]
     fn predicted_pair_is_not_a_failure_even_unordered() {
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 0)], vec![acc(2, 8, true, 0)]];
+        let log = log_of(&[spawn(1, 2, None), acc(1, 8, false, 0), acc(2, 8, true, 0)]);
         let mut predicted = PredictedPairs::default();
         predicted.keys.insert((0, 0));
-        let check = cross_check(&lanes, &predicted);
+        let check = cross_check(&log, &predicted);
         assert!(check.sound());
         // ... and it manifested, so precision is 1.
         assert!((check.precision() - 1.0).abs() < 1e-9);
@@ -609,29 +579,22 @@ mod tests {
     fn touch_orders_child_before_continuation() {
         // inv 1 spawns inv 2 as future 7, touches it, then writes what
         // the child wrote: ordered through the touch edge.
-        let lanes = vec![
-            vec![spawn(1, 2, Some(7)), touch(1, 7), acc(1, 8, true, 0)],
-            vec![acc(2, 8, true, 0)],
-        ];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let log =
+            log_of(&[spawn(1, 2, Some(7)), acc(2, 8, true, 0), touch(1, 7), acc(1, 8, true, 0)]);
+        let check = cross_check(&log, &PredictedPairs::default());
         assert!(check.sound(), "{:?}", check.unpredicted);
     }
 
     #[test]
     fn same_invocation_and_atomic_pairs_are_ignored() {
-        let lanes = vec![vec![
+        let add = Op::Add { delta: 1 };
+        let log = log_of(&[
             acc(1, 8, true, 0),
             acc(1, 8, false, 0), // same invocation: no pair
-            SanRecord {
-                inv: 2,
-                ev: SanEvent::Access { loc: 9, write: true, atomic: true, tag: 0 },
-            },
-            SanRecord {
-                inv: 3,
-                ev: SanEvent::Access { loc: 9, write: true, atomic: true, tag: 0 },
-            },
-        ]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+            Rec::Acc { inv: 2, loc: 9, op: add, tag: 0 },
+            Rec::Acc { inv: 3, loc: 9, op: add, tag: 0 },
+        ]);
+        let check = cross_check(&log, &PredictedPairs::default());
         assert!(check.sound());
         assert_eq!(check.pairs_checked, 0);
     }
@@ -640,17 +603,17 @@ mod tests {
     fn driver_accesses_are_excluded() {
         // inv 0 (the driver, displaying results) reads everything the
         // invocations wrote; no pairs involve it.
-        let lanes = vec![vec![acc(0, 8, false, 0)], vec![acc(1, 8, true, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let log = log_of(&[acc(0, 8, false, 0), acc(1, 8, true, 0)]);
+        let check = cross_check(&log, &PredictedPairs::default());
         assert!(check.sound());
         assert_eq!(check.pairs_checked, 0);
     }
 
     #[test]
     fn top_prediction_absorbs_everything() {
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 3)], vec![acc(2, 8, true, 5)]];
+        let log = log_of(&[spawn(1, 2, None), acc(1, 8, false, 3), acc(2, 8, true, 5)]);
         let predicted = PredictedPairs { keys: BTreeSet::new(), top: true };
-        let check = cross_check(&lanes, &predicted);
+        let check = cross_check(&log, &predicted);
         assert!(check.sound());
     }
 
@@ -684,8 +647,8 @@ mod tests {
 
     #[test]
     fn json_round_trips() {
-        let lanes = vec![vec![spawn(1, 2, None), acc(1, 8, false, 0)], vec![acc(2, 8, true, 0)]];
-        let check = cross_check(&lanes, &PredictedPairs::default());
+        let log = log_of(&[spawn(1, 2, None), acc(1, 8, false, 0), acc(2, 8, true, 0)]);
+        let check = cross_check(&log, &PredictedPairs::default());
         let text = check.to_json().to_string();
         assert!(!text.contains('\n'));
         let doc = Json::parse(&text).expect("round-trip");
@@ -698,13 +661,13 @@ mod tests {
     }
 }
 
-#[cfg(all(test, feature = "sanitize"))]
+#[cfg(test)]
 mod sanitized_tests {
     use super::*;
     use curare_runtime::SchedMode;
     use std::sync::{Mutex, PoisonError};
 
-    // The sanitizer install point is process-global: serialize runs.
+    // The access log is process-global: serialize runs.
     static RUN_GUARD: Mutex<()> = Mutex::new(());
 
     fn list_src(n: usize) -> String {

@@ -28,9 +28,9 @@
 //! a differential escape hatch.
 //!
 //! Heap traffic (car/cdr/cons/setf/struct/vector ops) stays behind the
-//! same `heap.rs` accessors the tree-walker uses, so the `sanitize`
-//! conflict checker and the obs event hooks observe identical access
-//! streams from both engines.
+//! same `heap.rs` accessors the tree-walker uses, so the access log
+//! and the obs event hooks observe identical access streams from both
+//! engines.
 //!
 //! Compilation is per-interpreter: global references embed the
 //! resolved global cell, and call sites carry an inline cache tagged

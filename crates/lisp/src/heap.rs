@@ -19,10 +19,10 @@ use std::sync::OnceLock;
 use crate::sync::RwLock;
 use std::collections::HashMap;
 
+use crate::accesslog;
 use crate::arena::AtomicArena;
 use crate::chash::LispHash;
 use crate::error::{LispError, Result};
-use crate::speclog;
 use crate::value::{ConsId, StrId, StructId, SymId, Val, Value, VectorId};
 use curare_sexpr::Sexpr;
 
@@ -124,9 +124,8 @@ impl Heap {
     /// the arena counter's cache line on every cons.
     ///
     /// Initialization stores (here and in [`Heap::make_struct`]) are
-    /// not sanitizer-instrumented: a fresh cell is invisible to other
-    /// invocations until its value is published through an already
-    /// instrumented write.
+    /// not logged: a fresh cell is invisible to other invocations until
+    /// its value is published through a logged write.
     pub fn cons(&self, car: Value, cdr: Value) -> Value {
         let id = self.conses.alloc_tlab();
         let cell = self.conses.get(id);
@@ -135,11 +134,11 @@ impl Heap {
         Value::cons(id)
     }
 
-    /// The mutable word behind a packed sanitizer/speculation location
-    /// (cons car/cdr or struct slot — never a global or vector slot).
-    pub(crate) fn spec_loc_cell(&self, loc: u64) -> &AtomicU64 {
-        if loc & curare_obs::sanitize::STRUCT_LOC_BIT != 0 {
-            self.slots.get(loc & !curare_obs::sanitize::STRUCT_LOC_BIT)
+    /// The mutable word behind a packed access-log location (cons
+    /// car/cdr or struct slot — never a global or vector slot).
+    pub(crate) fn loc_cell(&self, loc: u64) -> &AtomicU64 {
+        if loc & accesslog::STRUCT_LOC_BIT != 0 {
+            self.slots.get(loc & !accesslog::STRUCT_LOC_BIT)
         } else if loc & 1 != 0 {
             &self.conses.get(loc >> 1).cdr
         } else {
@@ -149,24 +148,12 @@ impl Heap {
 
     /// Read the `car` of cons `id`.
     pub fn car_of(&self, id: ConsId) -> Value {
-        curare_obs::record_access(id << 1, false, false, 0);
-        let lo = speclog::read_begin();
-        let v = Value::from_bits(self.conses.get(id).car.load(Ordering::Acquire));
-        if let Some(lo) = lo {
-            speclog::read_end(id << 1, lo);
-        }
-        v
+        Value::from_bits(accesslog::read(&self.conses.get(id).car, accesslog::cons_loc(id, 0), 0))
     }
 
     /// Read the `cdr` of cons `id`.
     pub fn cdr_of(&self, id: ConsId) -> Value {
-        curare_obs::record_access(id << 1 | 1, false, false, 1);
-        let lo = speclog::read_begin();
-        let v = Value::from_bits(self.conses.get(id).cdr.load(Ordering::Acquire));
-        if let Some(lo) = lo {
-            speclog::read_end(id << 1 | 1, lo);
-        }
-        v
+        Value::from_bits(accesslog::read(&self.conses.get(id).cdr, accesslog::cons_loc(id, 1), 1))
     }
 
     /// `(car v)`: nil for nil, error for non-lists.
@@ -191,16 +178,8 @@ impl Heap {
     pub fn set_car(&self, v: Value, new: Value) -> Result<()> {
         match v.decode() {
             Val::Cons(id) => {
-                curare_obs::record_access(id << 1, true, false, 0);
                 let cell = &self.conses.get(id).car;
-                match speclog::write_section() {
-                    Some(sec) => {
-                        let old = cell.load(Ordering::Acquire);
-                        cell.store(new.bits(), Ordering::Release);
-                        sec.store_heap(id << 1, old, new.bits());
-                    }
-                    None => cell.store(new.bits(), Ordering::Release),
-                }
+                accesslog::store(cell, accesslog::cons_loc(id, 0), 0, new.bits());
                 Ok(())
             }
             _ => Err(self.type_error("cons", v, "rplaca")),
@@ -211,16 +190,8 @@ impl Heap {
     pub fn set_cdr(&self, v: Value, new: Value) -> Result<()> {
         match v.decode() {
             Val::Cons(id) => {
-                curare_obs::record_access(id << 1 | 1, true, false, 1);
                 let cell = &self.conses.get(id).cdr;
-                match speclog::write_section() {
-                    Some(sec) => {
-                        let old = cell.load(Ordering::Acquire);
-                        cell.store(new.bits(), Ordering::Release);
-                        sec.store_heap(id << 1 | 1, old, new.bits());
-                    }
-                    None => cell.store(new.bits(), Ordering::Release),
-                }
+                accesslog::store(cell, accesslog::cons_loc(id, 1), 1, new.bits());
                 Ok(())
             }
             _ => Err(self.type_error("cons", v, "rplacd")),
@@ -321,14 +292,12 @@ impl Heap {
                     return Err(LispError::IndexOutOfRange { index: idx as i64, len });
                 }
                 let slot = base + idx as u64;
-                let loc = curare_obs::sanitize::STRUCT_LOC_BIT | slot;
-                curare_obs::record_access(loc, false, false, 2 + idx as u64);
-                let lo = speclog::read_begin();
-                let v = Value::from_bits(self.slots.get(slot).load(Ordering::Acquire));
-                if let Some(lo) = lo {
-                    speclog::read_end(loc, lo);
-                }
-                Ok(v)
+                let cell = self.slots.get(slot);
+                Ok(Value::from_bits(accesslog::read(
+                    cell,
+                    accesslog::slot_loc(slot),
+                    2 + idx as u64,
+                )))
             }
             _ => Err(self.type_error("struct", v, "struct field read")),
         }
@@ -343,17 +312,8 @@ impl Heap {
                     return Err(LispError::IndexOutOfRange { index: idx as i64, len });
                 }
                 let slot = base + idx as u64;
-                let loc = curare_obs::sanitize::STRUCT_LOC_BIT | slot;
-                curare_obs::record_access(loc, true, false, 2 + idx as u64);
                 let cell = self.slots.get(slot);
-                match speclog::write_section() {
-                    Some(sec) => {
-                        let old = cell.load(Ordering::Acquire);
-                        cell.store(new.bits(), Ordering::Release);
-                        sec.store_heap(loc, old, new.bits());
-                    }
-                    None => cell.store(new.bits(), Ordering::Release),
-                }
+                accesslog::store(cell, accesslog::slot_loc(slot), 2 + idx as u64, new.bits());
                 Ok(())
             }
             _ => Err(self.type_error("struct", v, "struct field write")),
@@ -366,14 +326,8 @@ impl Heap {
     /// updates; concurrent updates never lose increments.
     pub fn atomic_add_field(&self, cell: Value, field: u32, delta: i64) -> Result<Value> {
         let (slot, loc): (&AtomicU64, u64) = match (cell.decode(), field) {
-            (Val::Cons(id), 0) => {
-                curare_obs::record_access(id << 1, true, true, 0);
-                (&self.conses.get(id).car, id << 1)
-            }
-            (Val::Cons(id), 1) => {
-                curare_obs::record_access(id << 1 | 1, true, true, 1);
-                (&self.conses.get(id).cdr, id << 1 | 1)
-            }
+            (Val::Cons(id), 0) => (&self.conses.get(id).car, accesslog::cons_loc(id, 0)),
+            (Val::Cons(id), 1) => (&self.conses.get(id).cdr, accesslog::cons_loc(id, 1)),
             (Val::Struct(id), f) if f >= 2 => {
                 let (_, base, len) = self.struct_header(id);
                 let idx = (f - 2) as usize;
@@ -381,17 +335,11 @@ impl Heap {
                     return Err(LispError::IndexOutOfRange { index: idx as i64, len });
                 }
                 let s = base + idx as u64;
-                let loc = curare_obs::sanitize::STRUCT_LOC_BIT | s;
-                curare_obs::record_access(loc, true, true, f as u64);
-                (self.slots.get(s), loc)
+                (self.slots.get(s), accesslog::slot_loc(s))
             }
             _ => return Err(self.type_error("locatable cell", cell, "atomic-incf-cell")),
         };
-        // Holding the journal section across the CAS keeps the
-        // journal's append order equal to the location's update order
-        // (undo recomputes values by replaying that order).
-        let sec = speclog::write_section();
-        loop {
+        accesslog::add(loc, field as u64, delta, || loop {
             let old_bits = slot.load(Ordering::Acquire);
             let old = Value::from_bits(old_bits);
             let Some(cur) = old.as_int() else {
@@ -408,12 +356,9 @@ impl Heap {
                 .compare_exchange(old_bits, new.bits(), Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                if let Some(sec) = sec {
-                    sec.add_heap(loc, delta);
-                }
                 return Ok(new);
             }
-        }
+        })
     }
 
     // ----- vectors ----------------------------------------------------

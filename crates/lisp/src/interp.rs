@@ -8,13 +8,13 @@ use std::sync::Arc;
 
 use crate::sync::{Mutex, RwLock};
 
+use crate::accesslog;
 use crate::ast::{BuiltinOp, Func, Program};
 use crate::compile::Code;
 use crate::error::{LispError, Result};
 use crate::eval::Evaluator;
 use crate::heap::Heap;
 use crate::lower::Lowerer;
-use crate::speclog;
 use crate::value::{FuncId, SymId, Value};
 use curare_sexpr::parse_all;
 
@@ -360,8 +360,11 @@ impl Interp {
 
     /// Read global `sym`.
     pub fn get_global(&self, sym: SymId) -> Result<Value> {
-        let cell = self.global_cell(sym);
-        let v = Value::from_bits(speclog::note_global_read(sym, || cell.load(Ordering::Acquire)));
+        let v = Value::from_bits(accesslog::read(
+            &self.global_cell(sym),
+            accesslog::global_loc(sym),
+            0,
+        ));
         if v == Value::UNBOUND {
             return Err(LispError::Unbound(self.heap.sym_name(sym).to_string()));
         }
@@ -370,15 +373,7 @@ impl Interp {
 
     /// Write global `sym`.
     pub fn set_global(&self, sym: SymId, v: Value) {
-        let cell = self.global_cell(sym);
-        match speclog::write_section() {
-            Some(sec) => {
-                let old = cell.load(Ordering::Acquire);
-                cell.store(v.bits(), Ordering::Release);
-                sec.store_global(sym, &cell, old, v.bits());
-            }
-            None => cell.store(v.bits(), Ordering::Release),
-        }
+        accesslog::store(&self.global_cell(sym), accesslog::global_loc(sym), 0, v.bits());
     }
 
     /// Snapshot every bound global as `(symbol, value)` pairs, in no
@@ -398,10 +393,7 @@ impl Interp {
     /// reordering device); returns the new value.
     pub fn atomic_incf_global(&self, sym: SymId, delta: i64) -> Result<Value> {
         let cell = self.global_cell(sym);
-        // See `Heap::atomic_add_field`: the CAS runs inside the journal
-        // section so journal order matches the cell's update order.
-        let sec = speclog::write_section();
-        loop {
+        accesslog::add(accesslog::global_loc(sym), 0, delta, || loop {
             let old_bits = cell.load(Ordering::Acquire);
             let old = Value::from_bits(old_bits);
             if old == Value::UNBOUND {
@@ -421,22 +413,19 @@ impl Interp {
                 .compare_exchange(old_bits, new.bits(), Ordering::AcqRel, Ordering::Acquire)
                 .is_ok()
             {
-                if let Some(sec) = sec {
-                    sec.add_global(sym, &cell, delta);
-                }
                 return Ok(new);
             }
-        }
+        })
     }
 
     // ----- misc services ---------------------------------------------
 
     /// Append a printed line to the output log. Under `SpecMode` the
-    /// line is diverted into the speculation journal instead, so that
+    /// line is held back in the access log instead, so that
     /// aborted invocations leave no output and committed lines are
     /// released in sequential order.
     pub fn emit(&self, line: String) {
-        if speclog::divert_emit(&line) {
+        if accesslog::divert_emit(&line) {
             return;
         }
         self.output.lock().push(line);

@@ -37,6 +37,7 @@
 //! assert_eq!(interp.heap().display(v), "10");
 //! ```
 
+pub mod accesslog;
 pub mod arena;
 pub mod ast;
 pub mod builtins;

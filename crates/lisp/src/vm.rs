@@ -22,8 +22,8 @@
 //!
 //! Register frames are recycled through a thread-local pool (mirroring
 //! the tree-walker's frame reuse), and every heap access goes through
-//! the same `heap.rs` accessors, so sanitizer and obs instrumentation
-//! see identical access streams from both engines.
+//! the same `heap.rs` accessors, so the access log and obs
+//! instrumentation see identical access streams from both engines.
 //!
 //! Functions whose bodies exceed the compiler's register budget carry
 //! no code block; the VM transparently finishes such calls on the

@@ -51,8 +51,8 @@ pub enum EventKind {
     Degraded = 13,
     /// The current invocation spawned a child invocation (`arg` =
     /// parent and child invocation ids, [`crate::profile::pack_pair`]).
-    /// Recorded only while causal profiling (or the sanitizer) assigns
-    /// nonzero invocation ids.
+    /// Recorded only while causal profiling (or an armed heap-access
+    /// log) assigns nonzero invocation ids.
     Spawn = 14,
     /// A server began executing invocation `arg` (the causal twin of
     /// [`EventKind::TaskStart`], whose `arg` is the function id).
@@ -80,9 +80,8 @@ pub enum EventKind {
     /// sequential order (`arg` = invocation id).
     SpecCommit = 22,
     /// The validator observed a cross-invocation conflict that
-    /// contradicts sequential order and aborted the sequentially later
-    /// invocation, undoing its journaled writes (`arg` = invocation
-    /// id).
+    /// contradicts sequential order and aborted an invocation in it,
+    /// undoing its logged writes (`arg` = invocation id).
     SpecAbort = 23,
     /// An aborted invocation was re-executed after its conflictor
     /// (`arg` = invocation id).

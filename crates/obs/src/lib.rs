@@ -37,17 +37,18 @@ pub mod chrome;
 pub mod clock;
 pub mod event;
 pub mod hist;
+pub mod invocation;
 pub mod json;
 pub mod profile;
 pub mod report;
 pub mod ring;
-pub mod sanitize;
 pub mod timeline;
 pub mod tracer;
 
 pub use clock::now_ns;
 pub use event::{Event, EventKind};
 pub use hist::{AtomicHistogram, HistogramSummary};
+pub use invocation::{current_invocation, new_invocation, set_invocation};
 pub use json::Json;
 pub use profile::{
     dropped_total, pack_pair, profiling_enabled, set_profiling, trace_health_section, unpack_pair,
@@ -55,10 +56,5 @@ pub use profile::{
 };
 pub use report::{validate_keys, RunReport, SCHEMA_REPORT, SCHEMA_TRACE};
 pub use ring::{RingSnapshot, TraceRing};
-pub use sanitize::{
-    current_invocation, install_sanitizer, new_invocation, record_access, record_spawn,
-    record_touch, sanitizing_enabled, set_invocation, set_speculating, speculating_enabled,
-    AccessLog, SanEvent, SanRecord,
-};
 pub use timeline::Timeline;
 pub use tracer::{install, installed, record, set_lane, tracing_enabled, Tracer};

@@ -31,9 +31,9 @@
 //! along one causal chain, so **span ≤ work holds by construction** —
 //! the CI profile gate checks it on every run.
 //!
-//! Invocation ids come from [`crate::sanitize::new_invocation`], which
-//! assigns nonzero ids while either the sanitizer or this profiler
-//! ([`set_profiling`]) is enabled. Two-id events pack both into the
+//! Invocation ids come from [`crate::invocation::new_invocation`],
+//! which assigns nonzero ids while either the heap-access log or this
+//! profiler ([`set_profiling`]) is enabled. Two-id events pack both into the
 //! ring's 56-bit arg via [`pack_pair`] (28 bits each — plenty for one
 //! run). Ring overflow drops oldest events; the reconstruction
 //! tolerates half-open pairs, and [`Profile::dropped_events`] reports
@@ -53,7 +53,7 @@ pub const SCHEMA_PROFILE: &str = "curare-profile/1";
 static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Enable/disable causal profiling. While enabled,
-/// [`crate::sanitize::new_invocation`] hands out nonzero invocation
+/// [`crate::invocation::new_invocation`] hands out nonzero invocation
 /// ids, which makes the runtime emit `Spawn`/`InvStart`/`InvStop`/
 /// `BindFuture`/`TouchWake` events into the installed tracer.
 pub fn set_profiling(on: bool) {

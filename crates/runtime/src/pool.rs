@@ -43,8 +43,8 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use curare_lisp::speclog;
 use curare_lisp::sync::{Condvar, Mutex};
+use curare_lisp::{accesslog, speclog};
 use curare_lisp::{FuncId, Interp, LispError, RuntimeHooks, Val, Value};
 use curare_obs::{EventKind, Json, RunReport};
 
@@ -159,11 +159,11 @@ pub struct RuntimeConfig {
     /// experiments use.
     pub steal: bool,
     /// Run in `SpecMode`: invocations execute optimistically, heap
-    /// effects are journaled, and a commit-time validator aborts and
-    /// replays conflicting invocations (escalating to a sequential
-    /// rerun when speculation cannot converge). Off by default; the
-    /// `CURARE_NO_SPEC` environment variable force-disables it even
-    /// when requested.
+    /// effects go into the heap-access log, and a commit-time
+    /// validator aborts and replays conflicting invocations
+    /// (escalating to a sequential rerun when speculation cannot
+    /// converge). Off by default; the `CURARE_NO_SPEC` environment
+    /// variable force-disables it even when requested.
     pub speculate: bool,
     /// Abort/replay rounds before a speculative run gives up and
     /// falls to the sequential-degradation rerun.
@@ -353,6 +353,22 @@ thread_local! {
     static THREAD_POISONED: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
 }
 
+/// Name a task being spawned from the calling thread's invocation:
+/// mint its id and log the spawn for the tracer and the access log.
+/// Returns `(parent, inv)`; `inv` is 0 when nothing wants ids.
+fn spawn_ids(fid: FuncId, args: &[Value], future: Option<u64>) -> (u64, u64) {
+    let parent = curare_obs::current_invocation();
+    let inv = curare_obs::new_invocation(accesslog::armed());
+    if inv != 0 {
+        curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
+        if let Some(id) = future {
+            curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
+        }
+        accesslog::spawn(parent, inv, fid, args, future);
+    }
+    (parent, inv)
+}
+
 fn take_spare() -> Vec<Task> {
     SPARE.with(|s| s.borrow_mut().pop()).unwrap_or_default()
 }
@@ -440,9 +456,9 @@ struct Shared {
     /// these are retry-eligible too.
     idempotent: Mutex<HashSet<FuncId>>,
     // ---- speculation layer (`SpecMode`) ----
-    /// True when this pool runs speculatively: spawns register with
-    /// the journal and publish eagerly, body errors park instead of
-    /// aborting the run, and `run` validates at quiescence.
+    /// True when this pool runs speculatively: spawns publish
+    /// eagerly, body errors park instead of aborting the run, and
+    /// `run` validates at quiescence.
     speculate: bool,
     /// Abort/replay rounds before escalating to the sequential rerun.
     spec_retry_limit: u32,
@@ -837,21 +853,14 @@ impl RuntimeHooks for CriHooks {
             return Ok(());
         }
         curare_obs::record(EventKind::Enqueue, site as u64);
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        if inv != 0 {
-            curare_obs::record_spawn(inv, None);
-            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        }
+        // The spawn is logged before publishing, so the child can never
+        // run ahead of its log entry.
+        let (parent, inv) = spawn_ids(fid, &args, None);
         let task = Task { fid, args, site, future: None, inv, parent, attempts: 0 };
         if self.shared.speculate {
-            // Register before publishing so the child can never run
-            // ahead of its journal entry, and publish eagerly: the
-            // batch buffer would serialize the parent's tail against
-            // its successors, which is exactly the overlap
-            // speculation exists to win.
-            speclog::register_invocation(inv, parent, task.fid, &task.args);
-            speclog::record_spawn(parent, inv, task.fid, &task.args, false);
+            // Publish eagerly: the batch buffer would serialize the
+            // parent's tail against its successors, which is exactly
+            // the overlap speculation exists to win.
             self.shared.submit_now(task);
             return Ok(());
         }
@@ -879,17 +888,9 @@ impl RuntimeHooks for CriHooks {
             return Ok(fut);
         }
         curare_obs::record(EventKind::Enqueue, 0);
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        if inv != 0 {
-            curare_obs::record_spawn(inv, Some(id));
-            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-            curare_obs::record(EventKind::BindFuture, curare_obs::pack_pair(inv, id));
-        }
+        let (parent, inv) = spawn_ids(fid, &args, Some(id));
         let task = Task { fid, args, site: 0, future: Some(id), inv, parent, attempts: 0 };
         if self.shared.speculate {
-            speclog::register_invocation(inv, parent, task.fid, &task.args);
-            speclog::record_spawn(parent, inv, task.fid, &task.args, true);
             self.shared.submit_now(task);
             return Ok(fut);
         }
@@ -919,7 +920,7 @@ impl RuntimeHooks for CriHooks {
                 let mut idle_us: u64 = 1;
                 loop {
                     if let Some(result) = self.shared.futures.try_get(id) {
-                        curare_obs::record_touch(id);
+                        accesslog::touch(id);
                         if curare_obs::profiling_enabled() {
                             curare_obs::record(
                                 EventKind::TouchWake,
@@ -1128,12 +1129,7 @@ impl CriRuntime {
             return self.run_speculative(fid, args);
         }
 
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        if inv != 0 {
-            curare_obs::record_spawn(inv, None);
-            curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        }
+        let (parent, inv) = spawn_ids(fid, args, None);
         self.shared.submit_now(Task {
             fid,
             args: args.to_vec(),
@@ -1150,20 +1146,15 @@ impl CriRuntime {
         }
     }
 
-    /// A `SpecMode` run: arm the journal, execute optimistically, and
+    /// A `SpecMode` run: arm the access log, execute optimistically, and
     /// resolve at quiescence — validate the interleaving against the
     /// sequential ranks, abort and replay conflicting invocations,
     /// and commit; or roll everything back and rerun the roots inline
     /// when speculation cannot converge. Exactly one speculative run
-    /// may be in flight per process (the journal is process-global).
+    /// may be in flight per process (the access log is process-global).
     fn run_speculative(&self, fid: FuncId, args: &[Value]) -> Result<(), LispError> {
-        curare_obs::set_speculating(true);
-        speclog::arm();
-        let parent = curare_obs::current_invocation();
-        let inv = curare_obs::new_invocation();
-        curare_obs::record_spawn(inv, None);
-        curare_obs::record(EventKind::Spawn, curare_obs::pack_pair(parent, inv));
-        speclog::register_invocation(inv, 0, fid, args);
+        accesslog::arm(true);
+        let (parent, inv) = spawn_ids(fid, args, None);
         self.shared.submit_now(Task {
             fid,
             args: args.to_vec(),
@@ -1177,16 +1168,15 @@ impl CriRuntime {
         // Quiesced: every task has finished, so validation and any
         // replays run single-threaded on this thread (replayed bodies
         // route their spawns through `replay_spawn` in the hooks).
-        let res = speclog::resolve(self.interp.heap(), self.shared.spec_retry_limit, &mut {
+        let res = speclog::resolve(&self.interp, self.shared.spec_retry_limit, &mut {
             let interp = &self.interp;
             move |fid, args| interp.call_fid_owned(fid, args)
         });
-        curare_obs::set_speculating(false);
         self.shared.spec_commits.fetch_add(res.committed, Ordering::Relaxed);
         self.shared.spec_aborts.fetch_add(res.aborts, Ordering::Relaxed);
         self.shared.spec_replays.fetch_add(res.replays, Ordering::Relaxed);
         self.shared.spec_clean.fetch_add(res.clean, Ordering::Relaxed);
-        // The journal is disarmed now, so committed lines (already in
+        // The log is disarmed now, so committed lines (already in
         // sequential order) append to the ordinary output log.
         for line in res.output {
             self.interp.emit(line);
@@ -1549,7 +1539,7 @@ fn execute_task(
     if inv != 0 {
         curare_obs::record(EventKind::InvStart, inv);
     }
-    // Bind the sanitizer invocation for the duration of the call,
+    // Bind the task's invocation for the duration of the call,
     // saving the caller's binding: a helping touch executes tasks
     // nested inside another invocation's body.
     let prev_inv = curare_obs::set_invocation(inv);
@@ -1566,9 +1556,7 @@ fn execute_task(
         match caught {
             Ok(r) => r,
             Err(payload) => {
-                if shared.speculate {
-                    speclog::flush_reads();
-                }
+                accesslog::flush_reads();
                 curare_obs::set_invocation(prev_inv);
                 if inv != 0 {
                     curare_obs::record(EventKind::InvStop, inv);
@@ -1606,11 +1594,9 @@ fn execute_task(
     };
     #[cfg(not(feature = "chaos"))]
     let result = interp.call_fid_owned(fid, args);
-    if shared.speculate {
-        // Buffered read brackets must reach the journal before this
-        // task's completion can let the run quiesce.
-        speclog::flush_reads();
-    }
+    // Buffered reads must reach the access log before this task's
+    // completion can let the run quiesce.
+    accesslog::flush_reads();
     curare_obs::set_invocation(prev_inv);
     if inv != 0 {
         curare_obs::record(EventKind::InvStop, inv);

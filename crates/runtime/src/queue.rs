@@ -48,8 +48,8 @@ pub struct Task {
     pub site: usize,
     /// Future to resolve with the invocation's value, if any.
     pub future: Option<u64>,
-    /// Invocation id (0 unless the sanitizer or causal profiler is
-    /// enabled).
+    /// Invocation id (0 unless the heap-access log is armed or the
+    /// causal profiler is enabled).
     pub inv: u64,
     /// Spawning invocation's id — the causal profiler's spawn-edge
     /// metadata (0 when spawned outside any invocation, or when ids

@@ -390,7 +390,7 @@ fn walker_oracle(src: &str, entry: &str, n: i64) -> String {
 
 /// Injected panics under `SpecMode` must not retry, poison, or double
 /// any effect: panicked invocations park as errored, the validator
-/// escalates, the rollback erases every journaled write, and the
+/// escalates, the rollback erases every logged write, and the
 /// fault-suppressed sequential rerun applies each effect exactly once.
 #[test]
 fn speculative_effects_stay_exactly_once_when_panics_force_escalation() {

@@ -22,7 +22,7 @@ use curare_lisp::{Engine, Interp, Value};
 use curare_runtime::{CriRuntime, PoolStats, RuntimeConfig, SchedMode};
 use curare_transform::Curare;
 
-// The speculation journal is process-global; serialize the battery.
+// The heap-access log is process-global; serialize the battery.
 static TEST_GUARD: Mutex<()> = Mutex::new(());
 
 fn guard() -> std::sync::MutexGuard<'static, ()> {

@@ -2,7 +2,7 @@
 ;; identity helper: the analysis cannot resolve `(veil l)` to a named
 ;; location, so the write is ⊤ and the static transformer refuses the
 ;; whole function. `curare run --speculate` admits it optimistically;
-;; the runtime journal observes that each invocation touches a
+;; the runtime's access log sees that each invocation touches a
 ;; distinct cell and commits every speculative task clean.
 (defun veil (l) l)
 
