@@ -128,6 +128,20 @@ if [ "$SPEC_FAILED" != "0" ]; then
   echo "perfbench speculate: $SPEC_FAILED failed job(s)" >&2; exit 1
 fi
 
+echo "== perfbench self-tests"
+cargo test --release --manifest-path perfbench/Cargo.toml
+
+echo "== lock rescue correctness: perfbench walk-locked answers every job right"
+# The read-window walker goes through delay and lock rescue; every job
+# must still return the sequential answer.
+LOCKED_RESULT="$(python3 perfbench/run.py --workload walk-locked --seed 1 --seconds 5 \
+  --trace 0 | tail -n 1)"
+LOCKED_FAILED="$(printf '%s' "$LOCKED_RESULT" | python3 -c \
+  'import json, sys; print(json.load(sys.stdin)["failed"])')"
+if [ "$LOCKED_FAILED" != "0" ]; then
+  echo "perfbench walk-locked: $LOCKED_FAILED failed job(s)" >&2; exit 1
+fi
+
 echo "== causal profiler: lints, per-opcode tests, work/span smoke gate"
 cargo clippy -p curare-lisp --features profile-ops --all-targets -- -D warnings
 cargo clippy -p curare-bench --features profile-ops --all-targets -- -D warnings

@@ -11,7 +11,7 @@
 //! counted as an *unknown* access, which the transformability verdict
 //! treats conservatively.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashSet};
 
 use curare_lisp::ast::{BuiltinOp, Expr, Func, StructOp, VarRef};
 
@@ -65,6 +65,15 @@ impl AccessSummary {
     /// All read records.
     pub fn reads(&self) -> impl Iterator<Item = &AccessRecord> {
         self.records.iter().filter(|r| !r.write)
+    }
+
+    /// The first record of each distinct `(root, path, write)` access
+    /// class, in first-occurrence order. The §2 conflict test reads
+    /// nothing else of a record, so it runs over these instead of
+    /// every record pair.
+    pub fn classes(&self) -> Vec<&AccessRecord> {
+        let mut seen: HashSet<(usize, &Path, bool)> = HashSet::new();
+        self.records.iter().filter(|r| seen.insert((r.root, &r.path, r.write))).collect()
     }
 }
 

@@ -101,6 +101,8 @@ fn bound(write: &Path, other: &Path, tau: &Transfer) -> usize {
 /// [`crate::conflict::conflicts_from_parts`], plus detection of
 /// canonical aliases in *both* temporal directions (the later
 /// invocation's access re-expressed in the earlier one's coordinates).
+/// Like the plain test it runs once per pair of distinct access
+/// classes, which gives the report every record pair would.
 pub fn conflicts_with_canon(
     accesses: &AccessSummary,
     transfers: &TransferSummary,
@@ -110,12 +112,57 @@ pub fn conflicts_with_canon(
     let mut report = crate::conflict::conflicts_from_parts(accesses, transfers);
 
     // ...then add canonical-alias conflicts.
+    let classes = accesses.classes();
+    for w in classes.iter().filter(|r| r.write) {
+        let Some(tau) = transfers.per_param.get(w.root) else { continue };
+        for o in classes.iter().filter(|o| o.root == w.root) {
+            let kind = if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
+            let b = bound(&w.path, &o.path, tau);
+            for d in 1..=b {
+                let hit1 = earlier_write_hits_later_access(&w.path, tau, &o.path, d, canon)
+                    .unwrap_or(false);
+                let hit2 = later_write_hits_earlier_access(&w.path, tau, &o.path, d, canon)
+                    .unwrap_or(false);
+                if hit1 || hit2 {
+                    let c = Conflict {
+                        root: w.root,
+                        write_path: w.path.clone(),
+                        other_path: o.path.clone(),
+                        kind,
+                        distance: d,
+                        persistent: false,
+                    };
+                    if !report.conflicts.iter().any(|e| {
+                        e.root == c.root
+                            && e.write_path == c.write_path
+                            && e.other_path == c.other_path
+                            && e.kind == c.kind
+                            && e.distance <= c.distance
+                    }) {
+                        report.conflicts.push(c);
+                    }
+                    break;
+                }
+            }
+        }
+    }
+    report.conflicts.sort_by_key(|c| (c.distance, c.root));
+    report.min_distance = report.conflicts.first().map(|c| c.distance);
+    report
+}
+
+/// The all-record-pairs loop [`conflicts_with_canon`] replaced, kept
+/// as the oracle it is tested against.
+#[cfg(test)]
+pub(crate) fn all_pairs_reference(
+    accesses: &AccessSummary,
+    transfers: &TransferSummary,
+    canon: &Canonicalizer,
+) -> ConflictReport {
+    let mut report = crate::conflict::all_pairs_reference(accesses, transfers);
     for w in accesses.writes() {
         let Some(tau) = transfers.per_param.get(w.root) else { continue };
-        for o in &accesses.records {
-            if o.root != w.root {
-                continue;
-            }
+        for o in accesses.records.iter().filter(|o| o.root == w.root) {
             let kind = if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
             let b = bound(&w.path, &o.path, tau);
             for d in 1..=b {

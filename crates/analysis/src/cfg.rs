@@ -217,7 +217,7 @@ impl Cfg {
     }
 
     /// Reverse-postorder over reachable nodes.
-    fn rpo(&self) -> Vec<usize> {
+    pub(crate) fn rpo(&self) -> Vec<usize> {
         let mut order = Vec::new();
         let mut seen = vec![false; self.nodes.len()];
         fn dfs(cfg: &Cfg, n: usize, seen: &mut [bool], order: &mut Vec<usize>) {

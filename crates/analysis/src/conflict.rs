@@ -9,7 +9,7 @@
 //! locking can retain (§3.2.1: "the maximum concurrency of f is no
 //! more than min(d₁ … d_u)").
 
-use crate::access::{collect_accesses, AccessRecord, AccessSummary};
+use crate::access::{collect_accesses, AccessSummary};
 use crate::path::Path;
 use crate::transfer::{transfer_functions, Transfer, TransferSummary};
 use curare_lisp::ast::Func;
@@ -44,7 +44,7 @@ pub struct Conflict {
 }
 
 /// The conflict analysis of one function.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ConflictReport {
     /// All conflicts, deduplicated by (root, paths, kind).
     pub conflicts: Vec<Conflict>,
@@ -152,12 +152,60 @@ pub fn analyze_conflicts(func: &Func) -> ConflictReport {
 }
 
 /// Conflict analysis from precomputed accesses and transfers.
+///
+/// The test `A₁ ≤ τᵈ ∘ A₂` reads only each record's root, path and
+/// write flag, so it runs once per pair of distinct access classes
+/// ([`AccessSummary::classes`]). Each class pair yields at most one
+/// conflict and distinct pairs yield distinct conflicts, and classes
+/// keep first-occurrence order, so the report equals the one every
+/// record pair would give, in the same order.
 pub fn conflicts_from_parts(
     accesses: &AccessSummary,
     transfers: &TransferSummary,
 ) -> ConflictReport {
+    let classes = accesses.classes();
     let mut conflicts: Vec<Conflict> = Vec::new();
-    let mut consider = |w: &AccessRecord, o: &AccessRecord, tau: &Transfer| {
+    for w in classes.iter().filter(|r| r.write) {
+        let Some(tau) = transfers.per_param.get(w.root) else { continue };
+        // No pair is skipped, the write's own class included: a write
+        // through a τ that never moves names the same location in
+        // every invocation, which IS a conflict.
+        for o in classes.iter().filter(|o| o.root == w.root) {
+            if let Some((distance, persistent)) = pair_conflict(&w.path, &o.path, tau) {
+                let kind =
+                    if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
+                conflicts.push(Conflict {
+                    root: w.root,
+                    write_path: w.path.clone(),
+                    other_path: o.path.clone(),
+                    kind,
+                    distance,
+                    persistent,
+                });
+            }
+        }
+    }
+    conflicts.sort_by_key(|c| (c.distance, c.root));
+    let min_distance = conflicts.first().map(|c| c.distance);
+    ConflictReport {
+        conflicts,
+        min_distance,
+        unknown_writes: accesses.unknown_writes,
+        unknown_reads: accesses.unknown_reads,
+    }
+}
+
+/// The all-record-pairs loop [`conflicts_from_parts`] replaced, kept
+/// as the oracle it is tested against.
+#[cfg(test)]
+pub(crate) fn all_pairs_reference(
+    accesses: &AccessSummary,
+    transfers: &TransferSummary,
+) -> ConflictReport {
+    let mut conflicts: Vec<Conflict> = Vec::new();
+    let mut consider = |w: &crate::access::AccessRecord,
+                        o: &crate::access::AccessRecord,
+                        tau: &Transfer| {
         if let Some((distance, persistent)) = pair_conflict(&w.path, &o.path, tau) {
             let kind = if o.write { DependencyKind::WriteWrite } else { DependencyKind::WriteRead };
             let c = Conflict {
@@ -179,11 +227,6 @@ pub fn conflicts_from_parts(
             if o.root != w.root {
                 continue;
             }
-            // Skip the write-write self pairing against itself only if
-            // the paths are identical *and* τ never moves — the write
-            // then names the same location in every invocation, which
-            // IS a conflict; so do not skip anything here. The paper's
-            // formula naturally covers w == o.
             consider(w, o, tau);
         }
     }

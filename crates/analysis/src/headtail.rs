@@ -9,10 +9,10 @@
 
 use curare_lisp::ast::{Expr, Func};
 
-use crate::cfg::{Cfg, NodeKind, ENTRY, EXIT};
+use crate::cfg::{Cfg, NodeKind, ENTRY};
 
 /// The partition of a function body with its size measures.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HeadTail {
     /// Summed size of head operations (|H|), ≥ 1 for nonempty bodies.
     pub head_size: usize,
@@ -42,7 +42,47 @@ impl HeadTail {
 }
 
 /// Compute the head/tail partition of `func` via CFG dominance.
+///
+/// A node is tail when it is not a recursive call and some recursive
+/// call strictly dominates it, i.e. sits on its dominator-tree path to
+/// the entry. That is a recursive call at its immediate dominator or
+/// above it, and reverse postorder visits every immediate dominator
+/// before the nodes it dominates, so one pass decides every node.
 pub fn head_tail(func: &Func) -> HeadTail {
+    let cfg = Cfg::build(func);
+    let idom = cfg.immediate_dominators();
+    let is_call = |n: usize| matches!(cfg.nodes[n], NodeKind::Op { recursive_call: true, .. });
+    let mut below_call = vec![false; cfg.nodes.len()];
+    let mut head_size = 0usize;
+    let mut tail_size = 0usize;
+    for n in cfg.rpo() {
+        if n == ENTRY {
+            continue;
+        }
+        let up = idom[n];
+        below_call[n] = is_call(up) || below_call[up];
+        let NodeKind::Op { size, recursive_call, .. } = cfg.nodes[n] else { continue };
+        if !recursive_call && below_call[n] {
+            tail_size += size;
+        } else {
+            head_size += size;
+        }
+    }
+    let positions = classify_calls(func);
+    HeadTail {
+        head_size,
+        tail_size,
+        recursive_calls: cfg.recursive_call_nodes().len(),
+        tail_recursive: is_tail_recursive(func),
+        free_calls: positions.free,
+        value_position_calls: positions.value,
+    }
+}
+
+/// The per-node, per-call [`Cfg::dominates`] walk [`head_tail`]
+/// replaced, kept as the oracle it is tested against.
+#[cfg(test)]
+pub(crate) fn dominates_reference(func: &Func) -> HeadTail {
     let cfg = Cfg::build(func);
     let idom = cfg.immediate_dominators();
     let rec_nodes = cfg.recursive_call_nodes();
@@ -50,7 +90,7 @@ pub fn head_tail(func: &Func) -> HeadTail {
     let mut tail_size = 0usize;
     for (n, kind) in cfg.nodes.iter().enumerate() {
         let NodeKind::Op { size, recursive_call, .. } = kind else { continue };
-        if n == ENTRY || n == EXIT || idom[n] == usize::MAX {
+        if n == ENTRY || n == crate::cfg::EXIT || idom[n] == usize::MAX {
             continue;
         }
         let dominated =

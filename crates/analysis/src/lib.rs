@@ -63,6 +63,11 @@ pub mod regex;
 pub mod sapp;
 pub mod transfer;
 
+#[cfg(test)]
+mod corpus;
+#[cfg(test)]
+mod oracle_tests;
+
 pub use access::{collect_accesses, AccessRecord, AccessSummary};
 pub use analyze::{analyze_function, analyze_program, BlockReason, FunctionAnalysis, Verdict};
 pub use canon::Canonicalizer;

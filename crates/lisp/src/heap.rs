@@ -16,8 +16,8 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
 
-use crate::sync::RwLock;
-use std::collections::HashMap;
+use crate::sync::{Mutex, RwLock};
+use std::collections::{BTreeSet, HashMap};
 
 use crate::accesslog;
 use crate::arena::AtomicArena;
@@ -49,6 +49,23 @@ pub struct StructType {
     pub name: String,
     /// Field names in declaration order.
     pub fields: Vec<String>,
+}
+
+/// Every symbol name any heap has interned, leaked once per process.
+static LEAKED_NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+
+/// The process-wide `&'static` copy of `name`. Symbol names live as
+/// long as the process and every heap shares one copy of each, so the
+/// leak is bounded by the distinct identifiers the process ever
+/// interns, however many heaps it creates.
+fn leaked_name(name: &str) -> &'static str {
+    let mut names = LEAKED_NAMES.lock();
+    if let Some(&leaked) = names.get(name) {
+        return leaked;
+    }
+    let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+    names.insert(leaked);
+    leaked
 }
 
 /// The shared heap. See module docs.
@@ -97,10 +114,7 @@ impl Heap {
         if let Some(&id) = table.ids.get(name) {
             return id;
         }
-        // Leak the name: symbol names live as long as the process.
-        // The count is bounded by distinct identifiers in loaded
-        // programs, so this is a deliberate, tiny leak.
-        let leaked: &'static str = Box::leak(name.to_string().into_boxed_str());
+        let leaked = leaked_name(name);
         let id = table.names.len() as SymId;
         table.names.push(leaked);
         table.ids.insert(leaked, id);
@@ -777,6 +791,18 @@ mod tests {
         assert_eq!(a, a2);
         assert_ne!(a, b);
         assert_eq!(h.sym_name(a), "foo");
+    }
+
+    #[test]
+    fn heaps_share_one_leaked_copy_of_each_name() {
+        let (h1, h2) = (Heap::new(), Heap::new());
+        let a = h1.intern("shared-across-heaps");
+        h2.intern("only-in-the-second-heap");
+        let b = h2.intern("shared-across-heaps");
+        assert!(std::ptr::eq(h1.sym_name(a), h2.sym_name(b)));
+        // Ids stay per heap.
+        assert_eq!(a, 0);
+        assert_eq!(b, 1);
     }
 
     #[test]

@@ -28,7 +28,7 @@
 
 use std::collections::BTreeSet;
 
-use curare_analysis::{analyze_function, collect_accesses, AccessSummary, DeclDb, Path};
+use curare_analysis::{collect_accesses, AccessSummary, FunctionAnalysis, Path};
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
@@ -43,25 +43,25 @@ pub struct DelayResult {
     pub moved: usize,
 }
 
-/// Move post-call statements into the head where safe.
-pub fn delay_transform(heap: &Heap, form: &Sexpr, decls: &DeclDb) -> Option<DelayResult> {
+/// Move post-call statements into the head where safe. `analysis` is
+/// the caller's analysis of `form`.
+pub fn delay_transform(
+    heap: &Heap,
+    form: &Sexpr,
+    analysis: &FunctionAnalysis,
+) -> Option<DelayResult> {
     let parts = sx::parse_defun(form)?;
     let fname = parts.name.to_string();
     let params: Vec<String> = parts.params.iter().map(|p| p.to_string()).collect();
 
     // Locations involved in cross-invocation conflicts: statements
     // writing them are order-sensitive and must not move.
-    let conflicting: BTreeSet<(usize, Path)> = {
-        let mut lw = Lowerer::new(heap);
-        let prog = lw.lower_program(std::slice::from_ref(form)).ok()?;
-        let analysis = analyze_function(prog.funcs.first()?, decls);
-        analysis
-            .conflicts
-            .conflicts
-            .iter()
-            .flat_map(|c| [(c.root, c.write_path.clone()), (c.root, c.other_path.clone())])
-            .collect()
-    };
+    let conflicting: BTreeSet<(usize, Path)> = analysis
+        .conflicts
+        .conflicts
+        .iter()
+        .flat_map(|c| [(c.root, c.write_path.clone()), (c.root, c.other_path.clone())])
+        .collect();
 
     let mut moved = 0usize;
     let ctx = Ctx { fname: &fname, params: &params, conflicting: &conflicting };
@@ -319,11 +319,15 @@ pub fn has_tail_statements(form: &Sexpr, fname: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::locks::analyze_defun;
+    use curare_analysis::DeclDb;
     use curare_sexpr::parse_one;
 
     fn delay(src: &str) -> Option<DelayResult> {
         let heap = Heap::new();
-        delay_transform(&heap, &parse_one(src).unwrap(), &DeclDb::new())
+        let form = parse_one(src).unwrap();
+        let analysis = analyze_defun(&heap, &form, &DeclDb::new()).unwrap();
+        delay_transform(&heap, &form, &analysis)
     }
 
     #[test]

@@ -32,11 +32,13 @@
 //!   seen d invocations later.
 
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 use curare_analysis::locksynth::{
     declared_placement, synthesize, LockMode, OrderingContext, PairOrder, Placement,
 };
 use curare_analysis::{analyze_function, DeclDb, FunctionAnalysis, Path, PathRegex, Transfer};
+use curare_lisp::ast::Func;
 use curare_lisp::{Heap, Lowerer};
 use curare_sexpr::Sexpr;
 
@@ -89,18 +91,23 @@ impl std::fmt::Display for TransformError {
 
 impl std::error::Error for TransformError {}
 
+/// Lower a standalone defun form.
+pub(crate) fn lower_defun(heap: &Heap, form: &Sexpr) -> Result<Arc<Func>, TransformError> {
+    let mut lw = Lowerer::new(heap);
+    let prog = lw
+        .lower_program(std::slice::from_ref(form))
+        .map_err(|e| TransformError::Analysis(e.to_string()))?;
+    prog.funcs.first().cloned().ok_or(TransformError::NotADefun)
+}
+
 /// Analyze a standalone defun form (helper shared by the transforms).
 pub fn analyze_defun(
     heap: &Heap,
     form: &Sexpr,
     decls: &DeclDb,
 ) -> Result<FunctionAnalysis, TransformError> {
-    let mut lw = Lowerer::new(heap);
-    let prog = lw
-        .lower_program(std::slice::from_ref(form))
-        .map_err(|e| TransformError::Analysis(e.to_string()))?;
-    let func = prog.funcs.first().ok_or(TransformError::NotADefun)?;
-    Ok(analyze_function(func, decls))
+    let func = lower_defun(heap, form)?;
+    Ok(analyze_function(&func, decls))
 }
 
 /// Compute the lock set of an analyzed function.
@@ -791,7 +798,8 @@ fn tails_are_order_insensitive(
 /// instead of fully serializing the tails with future
 /// synchronization.
 ///
-/// Returns `None` — fall back to future sync — unless:
+/// `analysis` is the caller's analysis of `form`. Returns `None` —
+/// fall back to future sync — unless:
 /// - the conflict analysis is complete (no unanalyzable writes), and
 /// - either the programmer declared a placement for this function
 ///   (`(curare-declare (locks f (exclusive v path)...))`; applied as
@@ -804,20 +812,20 @@ pub fn lock_rescue(
     heap: &Heap,
     form: &Sexpr,
     decls: &DeclDb,
+    analysis: &FunctionAnalysis,
     coalesce: bool,
 ) -> Option<LockResult> {
     let parts = sx::parse_defun(form)?;
-    let analysis = analyze_defun(heap, form, decls).ok()?;
     if analysis.conflicts.unknown_writes > 0 || analysis.conflicts.conflicts.is_empty() {
         return None;
     }
     let params: Vec<String> = parts.params.iter().map(|p| p.to_string()).collect();
     let placement = match decls.lock_placement(parts.name) {
         Some(declared) => {
-            declared_placement(&analysis, &parts.params, declared, OrderingContext::cri())
+            declared_placement(analysis, &parts.params, declared, OrderingContext::cri())
         }
         None => {
-            let p = synthesize(&analysis, &parts.params, OrderingContext::cri());
+            let p = synthesize(analysis, &parts.params, OrderingContext::cri());
             if !p.is_certified_clean()
                 || !tails_are_order_insensitive(heap, &params, &parts.body, parts.name, decls, &p)
             {
@@ -836,6 +844,12 @@ pub fn lock_rescue(
 mod tests {
     use super::*;
     use curare_sexpr::parse_one;
+
+    /// [`lock_rescue`] on the analysis the pipeline would pass it.
+    fn rescue(heap: &Heap, form: &Sexpr, decls: &DeclDb, coalesce: bool) -> Option<LockResult> {
+        let analysis = analyze_defun(heap, form, decls).unwrap();
+        lock_rescue(heap, form, decls, &analysis, coalesce)
+    }
 
     fn run_locks(src: &str) -> LockResult {
         let heap = Heap::new();
@@ -969,7 +983,7 @@ mod tests {
         let heap = Heap::new();
         let db = db_from("(curare-declare (reorderable *))");
         let form = parse_one(TAIL_RMWS).unwrap();
-        let r = lock_rescue(&heap, &form, &db, false).expect("commutative tail RMWs are rescuable");
+        let r = rescue(&heap, &form, &db, false).expect("commutative tail RMWs are rescuable");
         let paths: Vec<String> = r.locks.iter().map(|l| l.path.to_string()).collect();
         assert_eq!(paths, ["car", "cdr.car"], "{paths:?}");
         assert!(r.locks.iter().all(|l| l.exclusive), "both locations are written");
@@ -1003,8 +1017,8 @@ mod tests {
                  (setf (cadr l) (* (cadr l) 5))))",
         )
         .unwrap();
-        let fine = lock_rescue(&heap, &form, &db, false).expect("rescuable");
-        let fused = lock_rescue(&heap, &form, &db, true).expect("rescuable");
+        let fine = rescue(&heap, &form, &db, false).expect("rescuable");
+        let fused = rescue(&heap, &form, &db, true).expect("rescuable");
         assert_eq!(fine.locks, fused.locks, "same placement either way");
         let fine_brackets = fine.form.to_string().matches("(cri-lock ").count();
         let fused_brackets = fused.form.to_string().matches("(cri-lock ").count();
@@ -1035,7 +1049,7 @@ mod tests {
                  (setf (cadr l) (* (cadr l) 2))))",
         )
         .unwrap();
-        let r = lock_rescue(&heap, &form, &db, false).expect("read side is order-insensitive");
+        let r = rescue(&heap, &form, &db, false).expect("read side is order-insensitive");
         let shared: Vec<&LockSpec> = r.locks.iter().filter(|l| !l.exclusive).collect();
         assert_eq!(shared.len(), 1, "{:?}", r.locks);
         assert_eq!(shared[0].path.to_string(), "car");
@@ -1055,7 +1069,7 @@ mod tests {
                  (setf (cadr l) (+ (car l) (cadr l)))))",
         )
         .unwrap();
-        assert!(lock_rescue(&heap, &form, &DeclDb::new(), false).is_none());
+        assert!(rescue(&heap, &form, &DeclDb::new(), false).is_none());
     }
 
     #[test]
@@ -1074,7 +1088,7 @@ mod tests {
                  (setf (cadr l) (+ (cadr l) (car l)))))",
         )
         .unwrap();
-        assert!(lock_rescue(&heap, &form, &db, false).is_none());
+        assert!(rescue(&heap, &form, &db, false).is_none());
     }
 
     #[test]
@@ -1092,7 +1106,7 @@ mod tests {
                  (setf (cadr l) (+ (car l) (cadr l)))))",
         )
         .unwrap();
-        let r = lock_rescue(&heap, &form, &db, false).expect("declared placement must apply");
+        let r = rescue(&heap, &form, &db, false).expect("declared placement must apply");
         assert_eq!(r.locks.len(), 2, "{:?}", r.locks);
         assert!(r.locks.iter().all(|l| l.exclusive));
         assert!(r.form.to_string().contains("cri-lock"), "{}", r.form);
@@ -1113,7 +1127,7 @@ mod tests {
                    (setf (cadr l) (quote x)))))",
         )
         .unwrap();
-        assert!(lock_rescue(&heap, &form, &db, false).is_none());
+        assert!(rescue(&heap, &form, &db, false).is_none());
     }
 
     #[test]

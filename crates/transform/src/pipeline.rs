@@ -23,7 +23,9 @@
 //! letting the pipeline skip conflict synthesis on the fresh
 //! destination cells.
 
-use curare_analysis::analyze::analyze_function_with_canon;
+use std::borrow::Cow;
+
+use curare_analysis::analyze::{analyze_function, analyze_function_with_canon};
 use curare_analysis::{BlockReason, Canonicalizer, DeclDb, Verdict};
 use curare_lisp::Heap;
 use curare_sexpr::{parse_all, pretty, Sexpr};
@@ -33,7 +35,7 @@ use crate::delay::{delay_transform, has_tail_statements};
 use crate::dps::dps_transform;
 use crate::fold::fold_to_walker;
 use crate::futuresync::future_sync;
-use crate::locks::{analyze_defun, lock_rescue, LockSpec};
+use crate::locks::{analyze_defun, lock_rescue, lower_defun, LockSpec};
 use crate::reorder::reorder_transform;
 
 /// Which device(s) the pipeline applied to a function.
@@ -228,21 +230,14 @@ impl Curare {
             devices.push(Device::Reorder(reordered.atomic_rewrites));
         }
 
-        let analysis = if self.decls.inverse_pairs().is_empty() {
-            analyze_defun(&self.heap, &current, &self.decls)
-                .map_err(|e| PipelineError::Transform(e.to_string()))?
-        } else {
-            // Declared inverse accessors: run the canonical conflict
-            // test so benign-alias detours are seen (§2.1).
-            let canon = Canonicalizer::from_decls(&self.decls, &self.heap);
-            let mut lw = curare_lisp::Lowerer::new(&self.heap);
-            let prog = lw
-                .lower_program(std::slice::from_ref(&current))
-                .map_err(|e| PipelineError::Transform(e.to_string()))?;
-            let func =
-                prog.funcs.first().ok_or_else(|| PipelineError::Transform("not a defun".into()))?;
-            analyze_function_with_canon(func, &self.decls, Some(&canon))
-        };
+        // Declared inverse accessors: the verdict comes from the
+        // canonical conflict test, so benign-alias detours are seen
+        // (§2.1). Delay and lock rescue read the plain analysis.
+        let func = lower_defun(&self.heap, &current)
+            .map_err(|e| PipelineError::Transform(e.to_string()))?;
+        let canon = (!self.decls.inverse_pairs().is_empty())
+            .then(|| Canonicalizer::from_decls(&self.decls, &self.heap));
+        let analysis = analyze_function_with_canon(&func, &self.decls, canon.as_ref());
         let verdict = analysis.verdict.clone();
         let feedback = analysis.explain();
 
@@ -377,11 +372,22 @@ impl Curare {
                 // "the only inherent ordering").
                 devices.push(Device::HeadOrdering);
             } else {
-                // Device: delay.
-                if let Some(delayed) = delay_transform(&self.heap, &current, &self.decls) {
-                    devices.push(Device::Delay(delayed.moved));
-                    current = delayed.form;
-                }
+                // Device: delay. Each version of the form is analysed
+                // once: the verdict's analysis serves when it is the
+                // plain one, and only a form delay rewrote is analysed
+                // again (one that does not lower gets no lock rescue).
+                let plain = match canon {
+                    None => Cow::Borrowed(&analysis),
+                    Some(_) => Cow::Owned(analyze_function(&func, &self.decls)),
+                };
+                let plain = match delay_transform(&self.heap, &current, &plain) {
+                    Some(delayed) => {
+                        devices.push(Device::Delay(delayed.moved));
+                        current = delayed.form;
+                        analyze_defun(&self.heap, &current, &self.decls).ok().map(Cow::Owned)
+                    }
+                    None => Some(plain),
+                };
                 if has_tail_statements(&current, &name) {
                     // Device: synthesized lock placement (§3.2.1).
                     // Future sync serializes the tails completely;
@@ -390,9 +396,9 @@ impl Curare {
                     // order-insensitive (or the programmer declared a
                     // placement), statement-scoped lock brackets keep
                     // the tails parallel instead.
-                    if let Some(locked) =
-                        lock_rescue(&self.heap, &current, &self.decls, self.coalesce_locks)
-                    {
+                    if let Some(locked) = plain.as_deref().and_then(|a| {
+                        lock_rescue(&self.heap, &current, &self.decls, a, self.coalesce_locks)
+                    }) {
                         devices.push(Device::Locks(locked.locks.clone()));
                         current = locked.form;
                     } else {
